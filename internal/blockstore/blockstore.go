@@ -379,6 +379,7 @@ func (f *File) flushLocked() error {
 		}
 		return keys[i].Slot < keys[j].Slot
 	})
+	appended := false
 	for _, key := range keys {
 		block := f.dirty[key]
 		off, known := f.offsets[key]
@@ -401,6 +402,7 @@ func (f *File) flushLocked() error {
 				return err
 			}
 			f.offsets[key] = off
+			appended = true
 		}
 		delete(f.dirty, key)
 		// On disk and out of the map: nothing references the dirty
@@ -409,6 +411,9 @@ func (f *File) flushLocked() error {
 	}
 	if err := f.data.Sync(); err != nil {
 		return err
+	}
+	if !appended {
+		return nil // in-place overwrites only: the index is unchanged
 	}
 	return f.idx.Sync()
 }

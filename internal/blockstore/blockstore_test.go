@@ -215,6 +215,58 @@ func TestFileWriteBackCoalesces(t *testing.T) {
 	_ = puts
 }
 
+// Steady-state overwrites append no index record, so their flush has
+// nothing to sync there: blocks.idx must come out byte-identical, and
+// the overwritten content must still be what a reopen finds.
+func TestFileOverwriteFlushLeavesIndexAlone(t *testing.T) {
+	f, dir := openTemp(t, 100)
+	keys := []Key{{Stripe: 1}, {Stripe: 1, Slot: 2}, {Stripe: 7, Slot: 1}}
+	for i, k := range keys {
+		if err := f.Put(k, blockOf(byte(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	idxPath := filepath.Join(dir, "blocks.idx")
+	before, err := os.ReadFile(idxPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(before) != len(keys)*idxRecordSize {
+		t.Fatalf("index holds %d bytes after first flush, want %d", len(before), len(keys)*idxRecordSize)
+	}
+	for i, k := range keys {
+		if err := f.Put(k, blockOf(byte(0x80+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.ReadFile(idxPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatal("overwrite-only flush changed blocks.idx")
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	g, clean, err := OpenFile(FileOptions{Dir: dir, BlockSize: bs})
+	if err != nil || !clean {
+		t.Fatalf("reopen: clean=%v err=%v", clean, err)
+	}
+	defer g.Close()
+	for i, k := range keys {
+		if got, ok := g.Get(k); !ok || !bytes.Equal(got, blockOf(byte(0x80+i))) {
+			t.Fatalf("key %v lost its overwrite across reopen", k)
+		}
+	}
+}
+
 func TestFileAutoFlushAtLimit(t *testing.T) {
 	f, _ := openTemp(t, 4)
 	for i := 0; i < 6; i++ {

@@ -43,9 +43,17 @@ func (c *Client) WriteBlockStamped(ctx context.Context, stripeID uint64, i int, 
 	// The outer `repeat ... until D = {i, k+1..n}` loop: a restart
 	// re-swaps with a fresh tid (e.g. after a recovery bumped the
 	// epoch under our adds).
+	bo := c.newBackoff()
 	for attempt := 0; attempt < c.cfg.MaxWriteAttempts; attempt++ {
 		if attempt > 0 {
 			c.stats.WriteRestarts.Add(1)
+			// A restart means a recovery is changing the stripe under
+			// us — possibly one writeOnce only just forked, which has
+			// not taken its locks yet. Back off instead of spending
+			// every attempt before that goroutine is scheduled.
+			if err := bo.pause(ctx); err != nil {
+				return proto.TID{}, proto.TID{}, err
+			}
 		}
 		done, ntid, otid, err := c.writeOnce(ctx, stripeID, i, v)
 		if err != nil {

@@ -1,23 +1,28 @@
 // Package smallwrite is the write half of the small-I/O tier: it
 // absorbs sub-block writes into a parity-logged staging segment inside
 // the erasure-coded store itself, so a 128-byte write costs its share
-// of one group-committed, block-aligned append instead of a full
-// swap+deltas round on its home block.
+// of one group-committed append to a byte-granular log instead of a
+// full swap+deltas round on its home block.
 //
 // Mechanics:
 //
 //   - Writers enqueue records and elect a commit leader (first waiter
 //     wins): the leader encodes every pending record into one
-//     checksummed batch, appends it to the staging segment through a
-//     dedicated bulk engine, and wakes the group. No background
-//     goroutines; latency is one staging append shared by the batch.
+//     checksummed batch, appends it to the staging segment, and wakes
+//     the group. A batch that fits in the free bytes of the segment's
+//     tail block is packed there by rewriting that one block from a
+//     client-held copy (one atomic register write: a crash leaves the
+//     old tail or the new one); otherwise it starts at the next block
+//     boundary. No background goroutines; latency is one staging
+//     append shared by the batch.
 //   - Committed records live in an in-memory overlay keyed by home
 //     block address; reads patch them over base-store content in
 //     sequence order, so acknowledged bytes are visible immediately.
 //   - When the segment fills (or on an explicit Flush barrier) the
 //     tier merges the overlay into home blocks — one read-modify-write
-//     per dirty block under a striped per-block lock — then resets the
-//     segment. Direct full-block writes to a dirty address supersede
+//     per dirty block under a striped per-block lock, a bounded window
+//     of them in flight — then resets the segment. Direct full-block
+//     writes to a dirty address supersede
 //     the staged records they overwrite and append a durable supersede
 //     tombstone to the segment before they are acknowledged, so a
 //     post-crash Salvage cannot replay the overwritten records over
@@ -26,6 +31,10 @@
 //     acknowledged small write already has EC durability. After a
 //     client crash, Salvage replays whole batches from the segment
 //     (honoring supersede tombstones) before the tier serves traffic.
+//     Batches carry their epoch's generation and Salvage starts the
+//     next one past the head's, so leftovers of earlier epochs and
+//     incarnations never match. A damaged batch with no intact batch
+//     after it is a torn, unacknowledged append: the log ends there.
 //
 // The tier sits below the read cache and above the bulk engine; the
 // facade's tier layer (internal/tier) wires the three together.
@@ -48,12 +57,13 @@ import (
 // ErrClosed reports a write against a closed tier.
 var ErrClosed = errors.New("smallwrite: tier closed")
 
-// ErrCorruptSegment reports a salvage scan that found a batch header
-// with a valid magic but inconsistent framing or checksum.
+// ErrCorruptSegment reports a salvage scan that found a damaged batch
+// with intact batches after it (acknowledged bytes are lost), or a batch
+// whose checksum holds but whose records are malformed.
 var ErrCorruptSegment = errors.New("smallwrite: corrupt staging segment")
 
 const (
-	batchMagic  = 0x53575432 // "SWT2"
+	batchMagic  = 0x53575433 // "SWT3"
 	headerSize  = 24         // magic u32, gen u64, count u32, payload u32, crc u32
 	recHdrSize  = 24         // addr u64, seq u64, off u32, len u32
 	nAddrLocks  = 64
@@ -97,7 +107,7 @@ type Stats struct {
 	Writes           atomic.Uint64 // accepted sub-block writes
 	Commits          atomic.Uint64 // group commits (batches appended)
 	CommitRecords    atomic.Uint64 // records across all commits
-	CommitBlocks     atomic.Uint64 // staging blocks consumed
+	CommitBlocks     atomic.Uint64 // staging block writes issued by commits
 	Flushes          atomic.Uint64 // full overlay merges (explicit or segment-full)
 	SegmentFullFlush atomic.Uint64 // flushes forced by a full segment
 	FlushedBlocks    atomic.Uint64 // home blocks rewritten by flushes
@@ -105,6 +115,7 @@ type Stats struct {
 	Supersedes       atomic.Uint64 // staged records dropped under direct writes
 	SupersedeMarks   atomic.Uint64 // durable supersede tombstones appended
 	Salvaged         atomic.Uint64 // records replayed from the segment
+	TornTails        atomic.Uint64 // salvages that ended at a torn, unacknowledged batch
 }
 
 type record struct {
@@ -147,11 +158,14 @@ type Tier struct {
 	// marker (the merged records are still in the segment and a
 	// post-crash Salvage would replay them over the direct write).
 	epochFlushed map[uint64]struct{}
-	// busy marks a leader commit or a flush in progress; cursor and gen
-	// are only touched while it is held.
-	busy        bool
-	closed      bool
-	cursor      uint64 // staging blocks consumed since last reset
+	// busy marks a leader commit or a flush in progress; cursor, tail
+	// and gen are only touched while it is held.
+	busy   bool
+	closed bool
+	cursor uint64 // segment bytes appended since last reset
+	// tail is the client-held image of the block cursor lies in: the
+	// acknowledged batches packed there so far, then zeros.
+	tail        []byte
 	gen         uint64
 	liveBytes   atomic.Int64
 	liveRecords atomic.Int64
@@ -199,6 +213,7 @@ func New(o Options) (*Tier, error) {
 		reg.Func("smallwrite.supersedes", func() int64 { return int64(t.stats.Supersedes.Load()) })
 		reg.Func("smallwrite.supersede_marks", func() int64 { return int64(t.stats.SupersedeMarks.Load()) })
 		reg.Func("smallwrite.salvaged", func() int64 { return int64(t.stats.Salvaged.Load()) })
+		reg.Func("smallwrite.torn_tails", func() int64 { return int64(t.stats.TornTails.Load()) })
 		reg.Func("smallwrite.staged_bytes", t.liveBytes.Load)
 		reg.Func("smallwrite.staged_records", t.liveRecords.Load)
 	}
@@ -392,17 +407,25 @@ func (t *Tier) Write(ctx context.Context, addr uint64, off int, data []byte) err
 	if off < 0 || off+len(data) > t.bs {
 		return fmt.Errorf("smallwrite: record [%d,%d) outside block of %d bytes", off, off+len(data), t.bs)
 	}
-	if addr >= t.sBase && addr < t.sBase+t.sBlocks {
-		return fmt.Errorf("smallwrite: address %d lies in the staging extent", addr)
-	}
-	if cap := t.base.Capacity(); cap != 0 && addr >= cap {
-		return fmt.Errorf("smallwrite: address %d beyond capacity %d: %w", addr, cap, bulk.ErrOutOfRange)
+	if err := t.checkHome(addr); err != nil {
+		return err
 	}
 	rec := &record{addr: addr, off: off, data: append([]byte(nil), data...)}
 	if err := t.stage(ctx, []*record{rec}); err != nil {
 		return err
 	}
 	t.stats.Writes.Add(1)
+	return nil
+}
+
+// checkHome rejects home-block addresses a record may not name.
+func (t *Tier) checkHome(addr uint64) error {
+	if addr >= t.sBase && addr < t.sBase+t.sBlocks {
+		return fmt.Errorf("smallwrite: address %d lies in the staging extent", addr)
+	}
+	if cap := t.base.Capacity(); cap != 0 && addr >= cap {
+		return fmt.Errorf("smallwrite: address %d beyond capacity %d: %w", addr, cap, bulk.ErrOutOfRange)
+	}
 	return nil
 }
 
@@ -477,6 +500,16 @@ func (t *Tier) takeBatchLocked() []*record {
 	return batch
 }
 
+// putHeader writes a batch header; count and payload both zero make
+// the reset tombstone.
+func putHeader(dst []byte, gen uint64, count, payload int, sum uint32) {
+	binary.BigEndian.PutUint32(dst[0:], batchMagic)
+	binary.BigEndian.PutUint64(dst[4:], gen)
+	binary.BigEndian.PutUint32(dst[12:], uint32(count))
+	binary.BigEndian.PutUint32(dst[16:], uint32(payload))
+	binary.BigEndian.PutUint32(dst[20:], sum)
+}
+
 // commit encodes and appends one batch. Caller holds busy (not mu).
 func (t *Tier) commit(ctx context.Context, batch []*record) error {
 	if len(batch) == 0 {
@@ -486,22 +519,32 @@ func (t *Tier) commit(ctx context.Context, batch []*record) error {
 	for _, r := range batch {
 		payload += recHdrSize + len(r.data)
 	}
-	need := uint64((headerSize + payload + t.bs - 1) / t.bs)
-	if t.cursor+need > t.sBlocks {
+	bs := uint64(t.bs)
+	size := uint64(headerSize + payload)
+	// Pack the batch into the tail block when it fits in the bytes left
+	// there; otherwise it starts at the next block boundary.
+	pos := t.cursor
+	if fill := pos % bs; fill == 0 || fill+size > bs {
+		pos = (pos + bs - 1) / bs * bs
+	}
+	if pos+size > t.sBlocks*bs {
 		t.stats.SegmentFullFlush.Add(1)
 		if err := t.flushHeld(ctx); err != nil {
 			return fmt.Errorf("smallwrite: segment-full flush: %w", err)
 		}
-		if t.cursor+need > t.sBlocks {
-			return fmt.Errorf("smallwrite: batch of %d bytes exceeds staging segment", headerSize+payload)
+		if pos = t.cursor; pos != 0 || size > t.sBlocks*bs {
+			return fmt.Errorf("smallwrite: batch of %d bytes exceeds staging segment", size)
 		}
 	}
 
-	buf := make([]byte, int(need)*t.bs)
-	binary.BigEndian.PutUint32(buf[0:], batchMagic)
-	binary.BigEndian.PutUint64(buf[4:], t.gen)
-	binary.BigEndian.PutUint32(buf[12:], uint32(len(batch)))
-	binary.BigEndian.PutUint32(buf[16:], uint32(payload))
+	// The image is whole blocks: what the tail block already holds, the
+	// batch, then zeros, so no stale byte follows a batch inside its
+	// block. A fresh buffer every time: the transport below may still
+	// reference an abandoned attempt's bytes.
+	fill := pos % bs
+	img := make([]byte, (fill+size+bs-1)/bs*bs)
+	copy(img, t.tail[:fill])
+	buf := img[fill : fill+size]
 	p := headerSize
 	for _, r := range batch {
 		binary.BigEndian.PutUint64(buf[p:], r.addr)
@@ -517,39 +560,59 @@ func (t *Tier) commit(ctx context.Context, batch []*record) error {
 		}
 		p += recHdrSize + len(r.data)
 	}
-	binary.BigEndian.PutUint32(buf[20:], crc32.Checksum(buf[headerSize:headerSize+payload], crcTab))
+	putHeader(buf, t.gen, len(batch), payload, crc32.Checksum(buf[headerSize:], crcTab))
 
 	// The batch carries other writers' acknowledged-to-be bytes: strip
-	// this leader's cancellation so its death cannot fail the group.
+	// this leader's cancellation so its death cannot fail the group. A
+	// one-block image is one register write — atomic; a crash can tear a
+	// longer one, and Salvage ends the log there.
 	wctx := context.WithoutCancel(ctx)
-	if _, err := t.eng.WriteAt(wctx, buf, int64(t.sBase+t.cursor)*int64(t.bs)); err != nil {
+	first := t.sBase + (pos-fill)/bs
+	var err error
+	if len(img) == t.bs {
+		err = t.base.WriteBlock(wctx, first, img)
+	} else {
+		_, err = t.eng.WriteAt(wctx, img, int64(first)*int64(t.bs))
+	}
+	if err != nil {
+		// The image may have landed all the same, so the next batch
+		// starts where this one did and overwrites it. Packed into the
+		// tail bytes this one skipped, it would come first in the log
+		// and Salvage would replay the two in the wrong order.
+		t.cursor = pos
 		return fmt.Errorf("smallwrite: staging append: %w", err)
 	}
-	t.cursor += need
+	t.tail = img[len(img)-t.bs:]
+	t.cursor = pos + size
 	t.stats.Commits.Add(1)
 	t.stats.CommitRecords.Add(uint64(len(batch)))
-	t.stats.CommitBlocks.Add(need)
+	t.stats.CommitBlocks.Add(uint64(len(img) / t.bs))
 	return nil
 }
 
-// Flush merges every staged record into its home block and resets the
-// staging segment — the Store.Flush barrier. It waits for any commit
-// in progress, then holds the commit gate for the whole merge.
-func (t *Tier) Flush(ctx context.Context) error {
+// gate waits out any commit in progress and takes the commit gate; the
+// returned func releases it.
+func (t *Tier) gate() (release func()) {
 	t.mu.Lock()
 	for t.busy {
 		t.cond.Wait()
 	}
 	t.busy = true
 	t.mu.Unlock()
+	return func() {
+		t.mu.Lock()
+		t.busy = false
+		t.cond.Broadcast()
+		t.mu.Unlock()
+	}
+}
 
-	err := t.flushHeld(ctx)
-
-	t.mu.Lock()
-	t.busy = false
-	t.cond.Broadcast()
-	t.mu.Unlock()
-	return err
+// Flush merges every staged record into its home block and resets the
+// staging segment — the Store.Flush barrier. It holds the commit gate
+// for the whole merge.
+func (t *Tier) Flush(ctx context.Context) error {
+	defer t.gate()()
+	return t.flushHeld(ctx)
 }
 
 // flushHeld merges the overlay into home blocks. Caller holds busy
@@ -565,29 +628,83 @@ func (t *Tier) flushHeld(ctx context.Context) error {
 	t.mu.Unlock()
 	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 
-	for _, addr := range addrs {
-		if err := t.flushBlock(ctx, addr); err != nil {
-			return err
-		}
+	// Writers wait out the whole merge, so keep the engine's window of
+	// blocks in flight. Each worker holds one address lock at a time.
+	var (
+		wg       sync.WaitGroup
+		next     atomic.Int64
+		errOnce  sync.Once
+		firstErr error
+	)
+	for w := min(t.eng.Window(), len(addrs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < int64(len(addrs)); i = next.Add(1) - 1 {
+				if err := t.flushBlock(ctx, addrs[i]); err != nil {
+					errOnce.Do(func() { firstErr = err })
+					next.Store(int64(len(addrs))) // stop handing out blocks
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if firstErr != nil {
+		return firstErr
 	}
 
 	t.mu.Lock()
 	drained := len(t.overlay) == 0
 	t.mu.Unlock()
 	if drained {
-		// Reset the segment. A tombstone header keeps a post-crash
-		// Salvage from replaying batches this flush already applied.
 		if t.cursor > 0 {
-			if err := t.base.WriteBlock(context.WithoutCancel(ctx), t.sBase, make([]byte, t.bs)); err != nil {
-				return fmt.Errorf("smallwrite: segment tombstone: %w", err)
+			if err := t.resetSegment(ctx); err != nil {
+				return err
 			}
 		}
-		t.cursor = 0
-		t.gen++
 		t.mu.Lock()
 		t.epochFlushed = make(map[uint64]struct{})
 		t.mu.Unlock()
 		t.stats.Flushes.Add(1)
+	}
+	return nil
+}
+
+// resetSegment ends the epoch: a tombstone at the segment head keeps a
+// post-crash Salvage from replaying batches already applied, and the
+// generation moves past the one every batch still in the segment has.
+func (t *Tier) resetSegment(ctx context.Context) error {
+	blk := make([]byte, t.bs)
+	putHeader(blk, t.gen, 0, 0, 0)
+	if err := t.base.WriteBlock(context.WithoutCancel(ctx), t.sBase, blk); err != nil {
+		return fmt.Errorf("smallwrite: segment tombstone: %w", err)
+	}
+	t.cursor = 0
+	t.gen++
+	return nil
+}
+
+// mergeHome read-modify-writes recs (in order) into home block addr.
+func (t *Tier) mergeHome(ctx context.Context, addr uint64, recs []*record) error {
+	blk, err := t.base.ReadBlock(ctx, addr)
+	if err != nil {
+		return fmt.Errorf("smallwrite: merge read block %d: %w", addr, err)
+	}
+	if len(blk) != t.bs {
+		return fmt.Errorf("smallwrite: merge read block %d: got %d bytes, want %d", addr, len(blk), t.bs)
+	}
+	for _, r := range recs {
+		copy(blk[r.off:], r.data)
+	}
+	if err := t.base.WriteBlock(ctx, addr, blk); err != nil {
+		return fmt.Errorf("smallwrite: merge write block %d: %w", addr, err)
+	}
+	// Reconcile the cache (OnApply invalidates and poisons in-flight
+	// fills) BEFORE the caller drops the overlay records: a reader that
+	// finds the overlay empty must not be able to pick up pre-merge
+	// cached content afterwards.
+	if t.onApply != nil {
+		t.onApply(addr)
 	}
 	return nil
 }
@@ -603,26 +720,8 @@ func (t *Tier) flushBlock(ctx context.Context, addr uint64) error {
 	if len(recs) == 0 {
 		return nil // superseded while we walked the address list
 	}
-	blk, err := t.base.ReadBlock(ctx, addr)
-	if err != nil {
-		return fmt.Errorf("smallwrite: flush read block %d: %w", addr, err)
-	}
-	if len(blk) != t.bs {
-		return fmt.Errorf("smallwrite: flush read block %d: got %d bytes, want %d", addr, len(blk), t.bs)
-	}
-	for _, r := range recs {
-		copy(blk[r.off:], r.data)
-	}
-	if err := t.base.WriteBlock(ctx, addr, blk); err != nil {
-		return fmt.Errorf("smallwrite: flush write block %d: %w", addr, err)
-	}
-
-	// Reconcile the cache (OnApply invalidates and poisons in-flight
-	// fills) BEFORE dropping the overlay records: a reader that finds
-	// the overlay empty must not be able to pick up pre-merge cached
-	// content afterwards.
-	if t.onApply != nil {
-		t.onApply(addr)
+	if err := t.mergeHome(ctx, addr, recs); err != nil {
+		return err
 	}
 
 	// Drop what we applied. Records newer than our snapshot cannot
@@ -654,133 +753,195 @@ func (t *Tier) flushBlock(ctx context.Context, addr uint64) error {
 	return nil
 }
 
-// Salvage replays whole batches left in the staging segment by a
-// crashed client: it scans from the segment head, applies every record
-// of every batch whose generation matches the first batch's (later
-// generations belong to interrupted epochs and are ignored, exactly as
-// a torn tail would be), then tombstones the segment. Call it on a
-// freshly constructed Tier BEFORE serving traffic; acknowledged small
-// writes that were staged but never flushed become visible in the base
-// store again. Returns the number of records replayed.
+// Salvage replays the batches a crashed client left in the staging
+// segment: every intact batch of the head's generation, packed
+// back-to-back inside a block and on from each next block boundary,
+// then tombstones the segment. A damaged batch ends the scan as a torn,
+// never-acknowledged append (Stats.TornTails) unless intact batches
+// follow it, which is ErrCorruptSegment. The tier's generation moves
+// past the head's, so nothing earlier epochs and incarnations left in
+// the segment can match a batch this one writes. Call it on a freshly
+// constructed Tier BEFORE serving traffic. Returns the number of
+// records replayed.
 func (t *Tier) Salvage(ctx context.Context) (int, error) {
-	t.mu.Lock()
-	for t.busy {
-		t.cond.Wait()
+	defer t.gate()()
+	return t.salvageHeld(ctx)
+}
+
+// segScan exposes the staging segment as one byte string, reading a
+// block from the base store only when the scan first reaches it.
+type segScan struct {
+	ctx context.Context
+	t   *Tier
+	buf []byte
+}
+
+// span returns segment bytes [lo,hi), or nil when they lie beyond the
+// segment.
+func (s *segScan) span(lo, hi int) ([]byte, error) {
+	if lo < 0 || hi < lo || uint64(hi) > s.t.sBlocks*uint64(s.t.bs) {
+		return nil, nil
 	}
-	t.busy = true
-	t.mu.Unlock()
-	n, err := t.salvageHeld(ctx)
-	t.mu.Lock()
-	t.busy = false
-	t.cond.Broadcast()
-	t.mu.Unlock()
-	return n, err
+	for len(s.buf) < hi {
+		blk, err := s.t.base.ReadBlock(s.ctx, s.t.sBase+uint64(len(s.buf)/s.t.bs))
+		if err != nil {
+			return nil, fmt.Errorf("smallwrite: salvage read: %w", err)
+		}
+		if len(blk) != s.t.bs {
+			return nil, fmt.Errorf("smallwrite: salvage read: got %d bytes, want %d", len(blk), s.t.bs)
+		}
+		s.buf = append(s.buf, blk...)
+	}
+	return s.buf[lo:hi], nil
+}
+
+type batchHeader struct {
+	gen            uint64
+	count, payload int
+	sum            uint32
+}
+
+// batchAt parses the batch at byte pos. ok is false when no header
+// starts there; body is nil when the batch is damaged — out of bounds
+// or failing its checksum.
+func (s *segScan) batchAt(pos int) (h batchHeader, body []byte, ok bool, err error) {
+	b, err := s.span(pos, pos+headerSize)
+	if b == nil || binary.BigEndian.Uint32(b) != batchMagic {
+		return h, nil, false, err
+	}
+	h = batchHeader{
+		gen:     binary.BigEndian.Uint64(b[4:]),
+		count:   int(binary.BigEndian.Uint32(b[12:])),
+		payload: int(binary.BigEndian.Uint32(b[16:])),
+		sum:     binary.BigEndian.Uint32(b[20:]),
+	}
+	if h.payload > 0 {
+		body, err = s.span(pos+headerSize, pos+headerSize+h.payload)
+		if body != nil && crc32.Checksum(body, crcTab) != h.sum {
+			body = nil
+		}
+	}
+	return h, body, true, err
+}
+
+// intactAfter reports whether an intact batch of generation gen lies
+// beyond the damaged batch (header h) at pos: right behind it if its
+// length can be believed, or at a later block boundary. Commits are
+// serialized, so such a batch proves the damaged one was acknowledged.
+func (s *segScan) intactAfter(pos int, h batchHeader, gen uint64) (bool, error) {
+	bs := s.t.bs
+	cands := []int{pos + headerSize + h.payload}
+	for c := pos - pos%bs + bs; c < int(s.t.sBlocks)*bs; c += bs {
+		cands = append(cands, c)
+	}
+	for _, c := range cands {
+		hc, body, ok, err := s.batchAt(c)
+		if err != nil || (ok && hc.gen == gen && body != nil) {
+			return err == nil, err
+		}
+	}
+	return false, nil
+}
+
+// decode appends body's records to recs, voiding the ones a supersede
+// tombstone in body covers.
+func (t *Tier) decode(recs []*record, body []byte, count int) ([]*record, error) {
+	p := 0
+	for i := 0; i < count; i++ {
+		if p+recHdrSize > len(body) {
+			return nil, fmt.Errorf("truncated at record %d", i)
+		}
+		addr := binary.BigEndian.Uint64(body[p:])
+		seq := binary.BigEndian.Uint64(body[p+8:])
+		rawOff := binary.BigEndian.Uint32(body[p+16:])
+		ln := int(binary.BigEndian.Uint32(body[p+20:]))
+		if rawOff == supersedeOff {
+			// Supersede tombstone: a direct write durably overwrote
+			// addr's records below seq. Void the ones collected so
+			// far; records appended after the marker stand.
+			if ln != 0 {
+				return nil, fmt.Errorf("marker %d carries payload", i)
+			}
+			kept := recs[:0]
+			for _, r := range recs {
+				if r.addr == addr && r.seq < seq {
+					continue
+				}
+				kept = append(kept, r)
+			}
+			recs = kept
+			p += recHdrSize
+			continue
+		}
+		off := int(rawOff)
+		if p+recHdrSize+ln > len(body) || off+ln > t.bs || t.checkHome(addr) != nil {
+			return nil, fmt.Errorf("record %d out of bounds", i)
+		}
+		recs = append(recs, &record{addr: addr, seq: seq, off: off, data: append([]byte(nil), body[p+recHdrSize:p+recHdrSize+ln]...)})
+		p += recHdrSize + ln
+	}
+	return recs, nil
 }
 
 func (t *Tier) salvageHeld(ctx context.Context) (int, error) {
-	var recs []*record
-	var gen uint64
-	pos := uint64(0)
-	for pos < t.sBlocks {
-		head, err := t.base.ReadBlock(ctx, t.sBase+pos)
-		if err != nil {
-			return 0, fmt.Errorf("smallwrite: salvage read: %w", err)
-		}
-		if len(head) < headerSize || binary.BigEndian.Uint32(head[0:]) != batchMagic {
-			break
-		}
-		bgen := binary.BigEndian.Uint64(head[4:])
-		if pos == 0 {
-			gen = bgen
-		} else if bgen != gen {
-			break
-		}
-		count := int(binary.BigEndian.Uint32(head[12:]))
-		payload := int(binary.BigEndian.Uint32(head[16:]))
-		sum := binary.BigEndian.Uint32(head[20:])
-		need := uint64((headerSize + payload + t.bs - 1) / t.bs)
-		if payload <= 0 || pos+need > t.sBlocks {
-			return 0, fmt.Errorf("%w: batch at block %d claims %d payload bytes", ErrCorruptSegment, pos, payload)
-		}
-		buf := make([]byte, 0, int(need)*t.bs)
-		buf = append(buf, head...)
-		for b := uint64(1); b < need; b++ {
-			blk, err := t.base.ReadBlock(ctx, t.sBase+pos+b)
-			if err != nil {
-				return 0, fmt.Errorf("smallwrite: salvage read: %w", err)
-			}
-			buf = append(buf, blk...)
-		}
-		body := buf[headerSize : headerSize+payload]
-		if crc32.Checksum(body, crcTab) != sum {
-			return 0, fmt.Errorf("%w: batch at block %d fails checksum", ErrCorruptSegment, pos)
-		}
-		p := 0
-		for i := 0; i < count; i++ {
-			if p+recHdrSize > payload {
-				return 0, fmt.Errorf("%w: batch at block %d truncated at record %d", ErrCorruptSegment, pos, i)
-			}
-			addr := binary.BigEndian.Uint64(body[p:])
-			seq := binary.BigEndian.Uint64(body[p+8:])
-			rawOff := binary.BigEndian.Uint32(body[p+16:])
-			ln := int(binary.BigEndian.Uint32(body[p+20:]))
-			if rawOff == supersedeOff {
-				// Supersede tombstone: a direct write durably overwrote
-				// addr's records below seq. Void the ones collected so
-				// far; records appended after the marker stand.
-				if ln != 0 {
-					return 0, fmt.Errorf("%w: batch at block %d marker %d carries payload", ErrCorruptSegment, pos, i)
-				}
-				kept := recs[:0]
-				for _, r := range recs {
-					if r.addr == addr && r.seq < seq {
-						continue
-					}
-					kept = append(kept, r)
-				}
-				recs = kept
-				p += recHdrSize
-				continue
-			}
-			off := int(rawOff)
-			if ln < 0 || p+recHdrSize+ln > payload || off < 0 || off+ln > t.bs {
-				return 0, fmt.Errorf("%w: batch at block %d record %d out of bounds", ErrCorruptSegment, pos, i)
-			}
-			recs = append(recs, &record{addr: addr, seq: seq, off: off, data: append([]byte(nil), body[p+recHdrSize:p+recHdrSize+ln]...)})
-			p += recHdrSize + ln
-		}
-		pos += need
+	s := &segScan{ctx: ctx, t: t}
+	head, _, ok, err := s.batchAt(0)
+	if !ok {
+		return 0, err // never written
 	}
-	if len(recs) == 0 {
-		return 0, nil
+	// The head block is rewritten at every epoch's first append and at
+	// every reset, so its generation is the largest in the segment.
+	gen := head.gen
+	t.gen = gen + 1
+	if head.count == 0 && head.payload == 0 {
+		return 0, nil // reset tombstone: a clean segment
+	}
+	var recs []*record
+	for pos := 0; ; {
+		h, body, ok, err := s.batchAt(pos)
+		if err != nil {
+			return 0, err
+		}
+		if !ok || h.gen != gen {
+			// Nothing here: the log goes on at the next block boundary,
+			// or ends if this is one.
+			if pos%t.bs == 0 {
+				break
+			}
+			pos += t.bs - pos%t.bs
+			continue
+		}
+		if body == nil {
+			after, err := s.intactAfter(pos, h, gen)
+			if err != nil {
+				return 0, err
+			}
+			if after {
+				return 0, fmt.Errorf("%w: damaged batch at byte %d has intact batches after it", ErrCorruptSegment, pos)
+			}
+			t.stats.TornTails.Add(1)
+			break
+		}
+		if recs, err = t.decode(recs, body, h.count); err != nil {
+			return 0, fmt.Errorf("%w: batch at byte %d: %v", ErrCorruptSegment, pos, err)
+		}
+		pos += headerSize + h.payload
+		if r := pos % t.bs; r != 0 && t.bs-r < headerSize {
+			pos += t.bs - r // no room for a header: the tail block was full
+		}
 	}
 
-	// Replay grouped by home block, preserving append order within it.
-	byAddr := make(map[uint64][]*record)
-	order := make([]uint64, 0)
-	for _, r := range recs {
-		if _, ok := byAddr[r.addr]; !ok {
-			order = append(order, r.addr)
+	// Replay home block by home block, in append order within each.
+	sort.SliceStable(recs, func(i, j int) bool { return recs[i].addr < recs[j].addr })
+	for i, j := 0, 0; i < len(recs); i = j {
+		for j = i; j < len(recs) && recs[j].addr == recs[i].addr; j++ {
 		}
-		byAddr[r.addr] = append(byAddr[r.addr], r)
-	}
-	for _, addr := range order {
-		blk, err := t.base.ReadBlock(ctx, addr)
-		if err != nil {
-			return 0, fmt.Errorf("smallwrite: salvage apply read %d: %w", addr, err)
-		}
-		for _, r := range byAddr[addr] {
-			copy(blk[r.off:], r.data)
-		}
-		if err := t.base.WriteBlock(ctx, addr, blk); err != nil {
-			return 0, fmt.Errorf("smallwrite: salvage apply write %d: %w", addr, err)
-		}
-		if t.onApply != nil {
-			t.onApply(addr)
+		if err := t.mergeHome(ctx, recs[i].addr, recs[i:j]); err != nil {
+			return 0, err
 		}
 	}
-	if err := t.base.WriteBlock(ctx, t.sBase, make([]byte, t.bs)); err != nil {
-		return len(recs), fmt.Errorf("smallwrite: salvage tombstone: %w", err)
+	if err := t.resetSegment(ctx); err != nil {
+		return len(recs), err
 	}
 	t.stats.Salvaged.Add(uint64(len(recs)))
 	return len(recs), nil

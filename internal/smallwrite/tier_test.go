@@ -3,6 +3,7 @@ package smallwrite
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -32,6 +33,20 @@ type memTarget struct {
 	// WriteBlock: tests use it to stall the commit leader so
 	// followers pile onto the next batch.
 	writeGate chan struct{}
+
+	// lostAcks makes every WriteBlock land and still report failure.
+	lostAcks atomic.Bool
+
+	// crashArmed makes the client die after writesLeft more WriteBlocks:
+	// every later one fails without touching the store.
+	crashArmed atomic.Bool
+	writesLeft atomic.Int64
+
+	// writeDelay stretches every WriteBlock so overlapping callers are
+	// observable in maxInWrite.
+	writeDelay time.Duration
+	inWrite    atomic.Int64
+	maxInWrite atomic.Int64
 }
 
 func newMem(bs, k int, capBlocks uint64) *memTarget {
@@ -57,6 +72,16 @@ func (m *memTarget) WriteBlock(_ context.Context, addr uint64, data []byte) erro
 	if m.writeGate != nil {
 		<-m.writeGate
 	}
+	if m.crashArmed.Load() && m.writesLeft.Add(-1) < 0 {
+		return errors.New("memTarget: client crashed")
+	}
+	if m.writeDelay > 0 {
+		n := m.inWrite.Add(1)
+		for old := m.maxInWrite.Load(); n > old && !m.maxInWrite.CompareAndSwap(old, n); old = m.maxInWrite.Load() {
+		}
+		time.Sleep(m.writeDelay)
+		m.inWrite.Add(-1)
+	}
 	if m.failWrites.Load() || (m.failOne.Load() && m.failAddr.Load() == addr) {
 		return errors.New("memTarget: injected write failure")
 	}
@@ -66,6 +91,9 @@ func (m *memTarget) WriteBlock(_ context.Context, addr uint64, data []byte) erro
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.blocks[addr] = append([]byte(nil), data...)
+	if m.lostAcks.Load() {
+		return errors.New("memTarget: write applied, acknowledgement lost")
+	}
 	return nil
 }
 
@@ -173,10 +201,10 @@ func TestFlushResetsSegmentAndInvokesOnApply(t *testing.T) {
 	if tr.cursor != 0 {
 		t.Fatalf("cursor %d after flush", tr.cursor)
 	}
-	// Tombstone: segment head no longer parses as a batch.
+	// Tombstone: the segment head is an empty batch.
 	head := m.get(1024 - 16)
-	if head[0] != 0 || head[1] != 0 {
-		t.Fatal("no tombstone written")
+	if binary.BigEndian.Uint32(head) != batchMagic || !bytes.Equal(head[12:20], make([]byte, 8)) {
+		t.Fatalf("no tombstone written: head = %x", head[:headerSize])
 	}
 }
 
@@ -426,18 +454,200 @@ func TestSalvageIgnoresFlushedEpoch(t *testing.T) {
 	}
 }
 
-func TestSalvageRejectsCorruptBatch(t *testing.T) {
+func TestSalvageRejectsDamageBeforeIntactBatches(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		later func(ctx context.Context, tr *Tier) error // acknowledged after the damaged batch
+	}{
+		{"packed behind it", func(ctx context.Context, tr *Tier) error {
+			return tr.Write(ctx, 6, 0, []byte("later"))
+		}},
+		{"at a later block boundary", func(ctx context.Context, tr *Tier) error {
+			return tr.Write(ctx, 6, 0, bytes.Repeat([]byte{'L'}, 100))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := newMem(bs, 4, 1024)
+			tr := newTier(t, m, 16)
+			ctx := context.Background()
+			must(t, tr.Write(ctx, 5, 0, []byte("payload")))
+			must(t, tc.later(ctx, tr))
+			// Flip one payload byte of the first batch.
+			head := m.get(1024 - 16)
+			head[headerSize+recHdrSize] ^= 0xff
+			must(t, m.WriteBlock(ctx, 1024-16, head))
+			tr2 := newTier(t, m, 16)
+			if _, err := tr2.Salvage(ctx); !errors.Is(err, ErrCorruptSegment) {
+				t.Fatalf("err = %v, want ErrCorruptSegment", err)
+			}
+		})
+	}
+}
+
+// A multi-block batch interrupted mid-append leaves a valid header over
+// stale body blocks. It was never acknowledged, so it must read as the
+// end of the log, not as corruption that keeps the store from opening.
+func TestSalvageEndsAtTornTail(t *testing.T) {
+	m := newMem(bs, 4, 1024)
+	ctx := context.Background()
+	const sBase = 1024 - 16
+	// Stale body: an earlier epoch fills the first blocks of the segment.
+	tr0 := newTier(t, m, 16)
+	for i := 0; i < 3; i++ {
+		must(t, tr0.Write(ctx, 8, 0, bytes.Repeat([]byte{'s'}, 100)))
+	}
+	must(t, tr0.Flush(ctx))
+
+	tr := newTier(t, m, 16)
+	_, err := tr.Salvage(ctx)
+	must(t, err)
+	must(t, tr.Write(ctx, 5, 0, []byte("acked")))
+	// The next batch starts at block 1 and needs block 2 as well; the
+	// client dies with only block 1 written.
+	m.failOne.Store(true)
+	m.failAddr.Store(sBase + 2)
+	if err := tr.Write(ctx, 6, 0, bytes.Repeat([]byte{'T'}, 110)); err == nil {
+		t.Fatal("torn append was acknowledged")
+	}
+	m.failOne.Store(false)
+	if got := m.get(sBase + 1); binary.BigEndian.Uint32(got) != batchMagic {
+		t.Fatal("test setup: the torn batch's header block did not land")
+	}
+
+	tr2 := newTier(t, m, 16)
+	n, err := tr2.Salvage(ctx)
+	if err != nil {
+		t.Fatalf("torn tail bricked the segment: %v", err)
+	}
+	if n != 1 || tr2.Stats().TornTails.Load() != 1 {
+		t.Fatalf("salvaged %d records, torn tails %d; want 1 and 1", n, tr2.Stats().TornTails.Load())
+	}
+	if got := m.get(5); string(got[:5]) != "acked" {
+		t.Fatalf("acknowledged record lost: %q", got[:8])
+	}
+	if got := m.get(6); got[0] == 'T' {
+		t.Fatal("torn batch replayed")
+	}
+}
+
+// Incarnation 1 leaves batches in blocks 0..3 and crashes; incarnation 2
+// salvages them (tombstoning block 0 only), takes a newer full-block
+// write, stages one record into block 0 and crashes. Incarnation 3 must
+// replay that one record — not incarnation 1's leftovers in blocks 1..3
+// over the newer write.
+func TestSalvageIgnoresPreviousIncarnation(t *testing.T) {
+	m := newMem(bs, 4, 1024)
+	ctx := context.Background()
+	tr1 := newTier(t, m, 16)
+	for a := uint64(1); a <= 4; a++ {
+		must(t, tr1.Write(ctx, a, 0, bytes.Repeat([]byte{'1'}, 80))) // 24+24+80: one block each
+	}
+
+	tr2 := newTier(t, m, 16)
+	if n, err := tr2.Salvage(ctx); err != nil || n != 4 {
+		t.Fatalf("incarnation 2 salvage: n=%d err=%v", n, err)
+	}
+	newer := bytes.Repeat([]byte{'N'}, bs)
+	must(t, m.WriteBlock(ctx, 3, newer))
+	must(t, tr2.Write(ctx, 9, 0, []byte("two")))
+
+	tr3 := newTier(t, m, 16)
+	n, err := tr3.Salvage(ctx)
+	must(t, err)
+	if n != 1 {
+		t.Fatalf("incarnation 3 salvaged %d records, want 1", n)
+	}
+	if got := m.get(3); !bytes.Equal(got, newer) {
+		t.Fatalf("stale bytes of incarnation 1 replayed over a newer write: %q", got[:4])
+	}
+	if got := m.get(9); string(got[:3]) != "two" {
+		t.Fatalf("incarnation 2's record lost: %q", got[:4])
+	}
+}
+
+func TestSmallBatchesPackIntoTailBlock(t *testing.T) {
 	m := newMem(bs, 4, 1024)
 	tr := newTier(t, m, 16)
 	ctx := context.Background()
-	must(t, tr.Write(ctx, 5, 0, []byte("payload")))
-	// Corrupt one payload byte in the segment.
-	head := m.get(1024 - 16)
-	head[headerSize+recHdrSize] ^= 0xff
-	must(t, m.WriteBlock(ctx, 1024-16, head))
+	const sBase = 1024 - 16
+	// 24+24+8 = 56 bytes a batch: two share a 128-byte block.
+	for i := 0; i < 4; i++ {
+		must(t, tr.Write(ctx, uint64(i), 0, []byte{'p', byte(i), 2, 3, 4, 5, 6, 7}))
+	}
+	if tr.cursor != bs+2*56 {
+		t.Fatalf("cursor = %d bytes, want %d", tr.cursor, bs+2*56)
+	}
+	if got := m.get(sBase + 2); !bytes.Equal(got, make([]byte, bs)) {
+		t.Fatal("a third staging block was written")
+	}
+	// A batch too big for the 16 bytes left starts at the next block, and
+	// the next small one packs in behind it.
+	must(t, tr.Write(ctx, 7, 0, bytes.Repeat([]byte{'B'}, 120))) // 168 bytes: blocks 2 and 3
+	must(t, tr.Write(ctx, 8, 0, []byte("behind")))
+	if want := uint64(3*bs + 40 + 54); tr.cursor != want {
+		t.Fatalf("cursor = %d bytes, want %d", tr.cursor, want)
+	}
+
 	tr2 := newTier(t, m, 16)
-	if _, err := tr2.Salvage(ctx); !errors.Is(err, ErrCorruptSegment) {
-		t.Fatalf("err = %v, want ErrCorruptSegment", err)
+	n, err := tr2.Salvage(ctx)
+	must(t, err)
+	if n != 6 {
+		t.Fatalf("salvaged %d records, want 6", n)
+	}
+	for i := 0; i < 4; i++ {
+		if got := m.get(uint64(i)); got[0] != 'p' || got[1] != byte(i) {
+			t.Fatalf("packed record %d lost: %q", i, got[:8])
+		}
+	}
+	if got := m.get(8); string(got[:6]) != "behind" {
+		t.Fatalf("record packed behind a multi-block batch lost: %q", got[:8])
+	}
+}
+
+// A boundary-crossing append fails from the client's view but lands.
+// The retry is small enough for the free bytes of the tail block before
+// it; packed there it would precede the stray batch in the log, and a
+// salvage would replay the failed write over the acknowledged retry.
+func TestFailedAppendCannotOutliveItsRetry(t *testing.T) {
+	m := newMem(bs, 4, 1024)
+	tr := newTier(t, m, 16)
+	ctx := context.Background()
+	must(t, tr.Write(ctx, 5, 0, []byte("tail")))
+	m.lostAcks.Store(true)
+	if err := tr.Write(ctx, 6, 0, bytes.Repeat([]byte{'X'}, 100)); err == nil {
+		t.Fatal("lost acknowledgement did not fail the write")
+	}
+	m.lostAcks.Store(false)
+	must(t, tr.Write(ctx, 6, 0, []byte("retry")))
+
+	tr2 := newTier(t, m, 16)
+	_, err := tr2.Salvage(ctx)
+	must(t, err)
+	if got := m.get(6); string(got[:5]) != "retry" {
+		t.Fatalf("failed write replayed over its acknowledged retry: %q", got[:8])
+	}
+	if got := m.get(5); string(got[:4]) != "tail" {
+		t.Fatalf("earlier acknowledged record lost: %q", got[:4])
+	}
+}
+
+func TestFlushMergesHomeBlocksInParallel(t *testing.T) {
+	m := newMem(bs, 4, 1024)
+	tr, err := New(Options{Base: m, StagingBase: 1024 - 64, StagingBlocks: 64, MaxInFlight: 4})
+	must(t, err)
+	ctx := context.Background()
+	for a := uint64(0); a < 32; a++ {
+		must(t, tr.Write(ctx, a, 0, []byte{byte(a) + 1}))
+	}
+	m.writeDelay = time.Millisecond
+	must(t, tr.Flush(ctx))
+	if got := m.maxInWrite.Load(); got < 2 || got > 4 {
+		t.Fatalf("%d home-block writes in flight at once, want 2..4 (the engine window)", got)
+	}
+	for a := uint64(0); a < 32; a++ {
+		if got := m.get(a); got[0] != byte(a)+1 {
+			t.Fatalf("block %d not merged", a)
+		}
 	}
 }
 
